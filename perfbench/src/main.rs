@@ -35,21 +35,24 @@ use harness::{RunResult, SimScale};
 
 use crate::checks::FleetCost;
 use crate::suite::Suite;
-use crate::traced::{Counters, Layers};
+use crate::traced::Layers;
 
 const USAGE: &str = "usage: perfbench --workload <paper-synth|trace-miss|multi-resource> \
 --seed <n> --seconds <s> --trace <0|1> [--inject digest|replay|cap]";
 
 /// Set-ups per invocation; `setup_s` is their median.
-const SETUP_REPS: usize = 3;
+const SETUP_REPS: usize = 7;
 
 /// Timed passes per invocation, at least (the digest check compares
 /// passes).
 const MIN_PASSES: usize = 2;
 
-/// The traced run may take at most this much longer than the untraced
-/// one before its breakdown stops describing the untraced program.
-const MAX_TRACE_OVERHEAD: f64 = 0.15;
+/// The traced run of a cell may take at most this much longer (or
+/// shorter) than its untraced run, as a median over every cell and
+/// round, before its breakdown stops describing the untraced program.
+/// Measured medians stay within ±7%; back-to-back runs of one cell
+/// differ by a few percent on their own on a shared host.
+const MAX_TRACE_OVERHEAD: f64 = 0.10;
 
 /// Cycle cap of the cell `--inject cap` runs: far below what any
 /// quick-scale cell needs.
@@ -500,7 +503,7 @@ fn instant_now_ns() -> f64 {
 }
 
 /// One round of the traced run: every cell untraced and traced, the
-/// traced counters checked against the untraced result.
+/// traced `RunResult` checked against the untraced one.
 struct Round {
     untraced_s: f64,
     layers: Layers,
@@ -514,6 +517,8 @@ fn traced_run(suite: &Suite, args: &Args, report: &mut Report) {
     let mut rounds: Vec<Round> = Vec::new();
     let mut first: Option<Vec<Option<String>>> = None;
     let mut qos = 0;
+    // Traced over untraced time, less one, of every cell in every round.
+    let mut cell_overheads: Vec<f64> = Vec::new();
     loop {
         let index = rounds.len();
         // Each cell runs untraced and traced back to back, so host noise
@@ -540,9 +545,9 @@ fn traced_run(suite: &Suite, args: &Args, report: &mut Report) {
             };
             match traced {
                 Ok(t) => {
-                    if t.counters != Counters::of(&untraced) {
+                    if format!("{:?}", t.result) != format!("{untraced:?}") {
                         report.problem(format!(
-                            "{label}: traced counters differ from the untraced run"
+                            "{label}: the traced RunResult differs from the untraced run's"
                         ));
                         report.failed += 1;
                     }
@@ -554,6 +559,7 @@ fn traced_run(suite: &Suite, args: &Args, report: &mut Report) {
                         report.failed += 1;
                     }
                     untraced_s += pass.cell_s[i];
+                    cell_overheads.push(t.layers.cell_s / pass.cell_s[i] - 1.0);
                     layers.add(&t.layers);
                 }
                 Err(_) => {
@@ -587,10 +593,11 @@ fn traced_run(suite: &Suite, args: &Args, report: &mut Report) {
         }
     }
     let med = |f: &dyn Fn(&Round) -> f64| median(&rounds.iter().map(f).collect::<Vec<_>>());
-    let overhead = med(&|r| r.layers.cell_s / r.untraced_s - 1.0);
+    let overhead = median(&cell_overheads);
+    eprintln!("# per-cell tracing overhead {cell_overheads:+.3?}");
     if overhead.is_nan() || overhead.abs() > MAX_TRACE_OVERHEAD {
         report.problem(format!(
-            "per-layer self times sum to {:+.1}% of the untraced time (limit ±{:.0}%)",
+            "traced cells ran {:+.1}% against untraced ones, median (limit ±{:.0}%)",
             overhead * 100.0,
             MAX_TRACE_OVERHEAD * 100.0
         ));

@@ -2,10 +2,10 @@
 //! with host time attributed to layers from outside.
 //!
 //! On the 2-vCPU Xeon VM of `BASELINE.json` a single `Instant::now()`
-//! costs ~35 ns, more than generating one instruction (~26 ns), so spans
-//! sit only at cell and epoch boundaries. The per-instruction
-//! and per-access layers are counted at their boundaries instead and
-//! timed by replay:
+//! costs 35-80 ns, as much as generating one synthetic instruction or
+//! more (~35 ns), so spans sit only at cell and epoch boundaries. The
+//! per-instruction and per-access layers are counted at their boundaries
+//! instead and timed by replay:
 //!
 //! * **generation** — a counting wrapper around each member's factory
 //!   counts the instructions the cores pull; regenerating exactly that
@@ -15,12 +15,13 @@
 //!   cycle, and every epoch's decision; replaying the log into a fresh
 //!   `PartitionedLlc` + `Dram` gives the layer's time and must reproduce
 //!   every fill cycle;
-//! * **policy** — spans around `PartitionPolicy::on_epoch` (decide) and
-//!   the decision's application (apply);
+//! * **policy** — the cell's policy behind a wrapper that times
+//!   `PartitionPolicy::on_epoch` (decide), inside a span around
+//!   `harness::drive_epoch` (the rest of it is apply);
 //! * **core stepping** — the traced cell's time minus the others.
 //!
-//! The assembly mirrors `harness::System::run` step for step; its
-//! counters must equal the untraced `RunResult` exactly, or it would
+//! The assembly mirrors `harness::System::run` step for step, and its
+//! `RunResult` must equal the untraced run's field for field, or it would
 //! measure a different program.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,11 +29,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use coop_core::policy::{DynamicCpePolicy, PartitionPolicy};
-use coop_core::{AllocationDecision, LlcConfig, PartitionedLlc, PolicySpec, SchemeKind};
+use coop_core::{
+    AllocationDecision, EnforcementMode, EpochObservations, LlcConfig, MissCurve, PartitionedLlc,
+    PolicySpec, SchemeKind,
+};
+use coop_dvfs::{DvfsConfig, DvfsPolicy, Residency};
 use cpusim::{
     Core, CoreConfig, EpochControl, Instr, InstrSource, LlcPort, StepperKind, SystemStepper,
 };
-use energy::EnergyCounts;
+use energy::{CoreEnergyParams, CoreEnergyReport, EnergyCounts, EnergyParams};
+use harness::RunResult;
 use memsim::{Dram, DramConfig};
 use simkit::types::{CoreId, Cycle, LineAddr};
 use workloads::{WorkloadFactory, WorkloadSource};
@@ -150,45 +156,6 @@ impl LlcPort for RecordingPort<'_> {
     }
 }
 
-/// The `RunResult` counters the traced assembly must reproduce.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Counters {
-    pub ipc: Vec<f64>,
-    pub mpki: Vec<f64>,
-    pub accesses: Vec<u64>,
-    pub cycles: u64,
-    pub counts: EnergyCounts,
-    pub avg_ways: f64,
-    pub takeover_events: [u64; 4],
-    pub flush_lines: u64,
-    pub repartitions: u64,
-    pub prefetches: Vec<u64>,
-    pub prefetch_useful: Vec<u64>,
-    pub dram_lines: Vec<u64>,
-    pub bw_delay_cycles: Vec<u64>,
-}
-
-impl Counters {
-    /// The same counters as an untraced run reports them.
-    pub fn of(r: &harness::RunResult) -> Counters {
-        Counters {
-            ipc: r.ipc.clone(),
-            mpki: r.mpki.clone(),
-            accesses: r.accesses.clone(),
-            cycles: r.cycles,
-            counts: r.counts,
-            avg_ways: r.avg_ways,
-            takeover_events: r.takeover_events,
-            flush_lines: r.flush_lines,
-            repartitions: r.repartitions,
-            prefetches: r.prefetches.clone(),
-            prefetch_useful: r.prefetch_useful.clone(),
-            dram_lines: r.dram_lines.clone(),
-            bw_delay_cycles: r.bw_delay_cycles.clone(),
-        }
-    }
-}
-
 /// Per-layer work and time of one traced cell (or a sum over cells).
 #[derive(Debug, Default, Clone)]
 pub struct Layers {
@@ -285,67 +252,114 @@ impl Layers {
 
 /// What a traced cell produced.
 pub struct Traced {
-    /// Counters to compare with the untraced run.
-    pub counters: Counters,
+    /// The cell's result, assembled as `System::run` assembles it; it
+    /// must equal the untraced run's.
+    pub result: RunResult,
     /// Per-layer work and time.
     pub layers: Layers,
 }
 
-/// Epoch-boundary bookkeeping of the traced run.
-struct EpochTrace<'a> {
-    policy: &'a mut dyn PartitionPolicy,
+/// The cell's policy behind a span around `on_epoch`; every other method
+/// forwards. `drive` runs `harness::drive_epoch` under a second span, so
+/// an epoch's decision time is `decide_s` and the rest of it (reading
+/// the observations, applying the decision) is `epoch_s - decide_s`.
+#[derive(Debug)]
+struct TimedPolicy {
+    inner: Box<dyn PartitionPolicy>,
     decide_s: f64,
-    apply_s: f64,
+    epoch_s: f64,
 }
 
-impl EpochTrace<'_> {
-    /// `harness::drive_epoch`, with spans around the decision and its
-    /// application; returns the decision for the log.
-    fn drive(
-        &mut self,
-        now: Cycle,
-        cores: &mut [Core],
-        llc: &mut PartitionedLlc,
-        dram: &mut Dram,
-    ) -> AllocationDecision {
-        let t = Instant::now();
-        let retired: Vec<u64> = cores.iter().map(|c| c.retired()).collect();
-        let mut obs = llc.epoch_observations(now, retired);
-        obs.prefetches = cores.iter().map(|c| c.stats().prefetches.get()).collect();
-        obs.prefetch_useful = cores
-            .iter()
-            .map(|c| c.stats().prefetch_useful.get())
-            .collect();
-        let decision = self.policy.on_epoch(&obs);
-        let decided = Instant::now();
-        apply(llc, dram, now, &decision);
-        if let Some(ratios) = &decision.hints.clock_ratios {
-            for (core, &r) in cores.iter_mut().zip(ratios.iter()) {
-                core.set_clock_ratio(now, r);
-            }
-        }
-        if let Some(slots) = &decision.hints.prefetch_slots {
-            for (core, &d) in cores.iter_mut().zip(slots.iter()) {
-                core.set_prefetch_degree(d);
-            }
-        }
-        let applied = Instant::now();
-        self.decide_s += (decided - t).as_secs_f64();
-        self.apply_s += (applied - decided).as_secs_f64();
-        decision
+impl PartitionPolicy for TimedPolicy {
+    fn name(&self) -> &'static str {
+        self.inner.name()
     }
 
-    /// The stepper's epoch callback: drive the epoch and log its decision.
-    fn step(
-        &mut self,
-        now: Cycle,
-        cores: &mut [Core],
-        port: &mut RecordingPort<'_>,
-    ) -> EpochControl {
-        let decision = self.drive(now, cores, port.llc, port.dram);
-        port.log.push(Event::Epoch(Box::new((now, decision))));
-        EpochControl::Continue
+    fn label(&self) -> &'static str {
+        self.inner.label()
     }
+
+    fn enforcement(&self) -> EnforcementMode {
+        self.inner.enforcement()
+    }
+
+    fn uses_umon(&self) -> bool {
+        self.inner.uses_umon()
+    }
+
+    fn on_epoch(&mut self, obs: &EpochObservations) -> AllocationDecision {
+        let t = Instant::now();
+        let decision = self.inner.on_epoch(obs);
+        self.decide_s += t.elapsed().as_secs_f64();
+        decision
+    }
+}
+
+impl TimedPolicy {
+    /// One epoch through `harness::drive_epoch`, its decision logged.
+    fn drive(&mut self, now: Cycle, cores: &mut [Core], port: &mut RecordingPort<'_>) {
+        let t = Instant::now();
+        let decision = harness::drive_epoch(now, cores, port.llc, port.dram, self);
+        self.epoch_s += t.elapsed().as_secs_f64();
+        port.log.push(Event::Epoch(Box::new((now, decision))));
+    }
+
+    fn dvfs(&mut self) -> Option<&mut DvfsPolicy> {
+        (self.inner.as_mut() as &mut dyn std::any::Any).downcast_mut::<DvfsPolicy>()
+    }
+}
+
+/// Per-epoch sums of way targets, bandwidth shares and prefetch degrees
+/// over the measured epochs, as `System::run` keeps them.
+struct Occupancy {
+    ways: Vec<u64>,
+    bw: Vec<f64>,
+    degree: Vec<f64>,
+    epochs: u64,
+}
+
+impl Occupancy {
+    fn new(n: usize) -> Occupancy {
+        Occupancy {
+            ways: vec![0; n],
+            bw: vec![0.0; n],
+            degree: vec![0.0; n],
+            epochs: 0,
+        }
+    }
+
+    fn add(&mut self, llc: &PartitionedLlc, cores: &[Core]) {
+        for (acc, w) in self.ways.iter_mut().zip(llc.current_allocation()) {
+            *acc += w as u64;
+        }
+        self.epochs += 1;
+        for (i, acc) in self.bw.iter_mut().enumerate() {
+            *acc += bw_share(llc, i);
+        }
+        for (acc, core) in self.degree.iter_mut().zip(cores) {
+            *acc += core.prefetch_degree() as f64;
+        }
+    }
+
+    /// Average ways owned, bandwidth share and prefetch degree; the
+    /// current values when no epoch was measured.
+    fn averages(&self, llc: &PartitionedLlc, cores: &[Core]) -> [Vec<f64>; 3] {
+        if self.epochs == 0 {
+            return [
+                llc.current_allocation().iter().map(|&w| w as f64).collect(),
+                (0..cores.len()).map(|i| bw_share(llc, i)).collect(),
+                cores.iter().map(|c| c.prefetch_degree() as f64).collect(),
+            ];
+        }
+        let avg = |v: &[f64]| v.iter().map(|&s| s / self.epochs as f64).collect();
+        let ways: Vec<f64> = self.ways.iter().map(|&w| w as f64).collect();
+        [avg(&ways), avg(&self.bw), avg(&self.degree)]
+    }
+}
+
+fn bw_share(llc: &PartitionedLlc, core: usize) -> f64 {
+    llc.bandwidth_regulator()
+        .map_or(1.0, |r| r.share_of(CoreId(core as u8)))
 }
 
 fn minus(a: EnergyCounts, b: EnergyCounts) -> EnergyCounts {
@@ -361,7 +375,8 @@ fn minus(a: EnergyCounts, b: EnergyCounts) -> EnergyCounts {
     }
 }
 
-/// The LLC side of a decision: way targets, then bandwidth shares.
+/// The LLC side of a decision, in `harness::drive_epoch`'s order: way
+/// targets, then bandwidth shares.
 fn apply(llc: &mut PartitionedLlc, dram: &mut Dram, now: Cycle, decision: &AllocationDecision) {
     llc.apply_decision(now, dram, decision);
     if let Some(shares) = &decision.hints.bandwidth_shares {
@@ -382,9 +397,13 @@ fn bw_delay_of(llc: &PartitionedLlc, n: usize) -> Vec<u64> {
     }
 }
 
-/// The policy and LLC configuration `SystemBuilder::try_build` derives
-/// for `cell`.
-fn policy_for(suite: &Suite, cell: &Cell, n: usize) -> (Box<dyn PartitionPolicy>, LlcConfig) {
+/// The policy, LLC configuration and core power parameters
+/// `SystemBuilder::try_build` derives for `cell`.
+fn policy_for(
+    suite: &Suite,
+    cell: &Cell,
+    n: usize,
+) -> (Box<dyn PartitionPolicy>, LlcConfig, CoreEnergyParams) {
     let registry = harness::policy_registry();
     let canonical = registry
         .resolve(cell.policy)
@@ -403,7 +422,12 @@ fn policy_for(suite: &Suite, cell: &Cell, n: usize) -> (Box<dyn PartitionPolicy>
     {
         p.set_profile(suite.groups[cell.group].cpe.clone());
     }
-    (policy, llc)
+    let core_power = if canonical == "dvfs" || canonical == "cbp" {
+        DvfsConfig::paper_default(cell.slack).costs.core
+    } else {
+        CoreEnergyParams::for_45nm()
+    };
+    (policy, llc, core_power)
 }
 
 /// Runs `cell` traced. `corrupt_replay` perturbs one recorded fill cycle
@@ -413,7 +437,7 @@ pub fn run_cell(suite: &Suite, cell: &Cell, corrupt_replay: bool) -> Traced {
     let group = &suite.groups[cell.group];
     let n = group.workload.cores();
     let scale = suite.scale;
-    let (mut policy, llc_cfg) = policy_for(suite, cell, n);
+    let (policy, llc_cfg, core_power) = policy_for(suite, cell, n);
     let mode = policy.enforcement();
     let uses_umon = policy.uses_umon();
     let pulled: Vec<Arc<AtomicU64>> = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
@@ -439,10 +463,10 @@ pub fn run_cell(suite: &Suite, cell: &Cell, corrupt_replay: bool) -> Traced {
     let mut dram = Dram::new(DramConfig::default());
     let mut log: Vec<Event> = Vec::new();
     let mut stepper = SystemStepper::new(StepperKind::EventDriven, llc_cfg.epoch_cycles);
-    let mut epochs = EpochTrace {
-        policy: policy.as_mut(),
+    let mut policy = TimedPolicy {
+        inner: policy,
         decide_s: 0.0,
-        apply_s: 0.0,
+        epoch_s: 0.0,
     };
 
     // Warm-up, exactly as `System::run`.
@@ -458,7 +482,10 @@ pub fn run_cell(suite: &Suite, cell: &Cell, corrupt_replay: bool) -> Traced {
             &mut port,
             &warm,
             Cycle(scale.max_cycles / 2),
-            |now, cores, port| epochs.step(now, cores, port),
+            |now, cores, port| {
+                policy.drive(now, cores, port);
+                EpochControl::Continue
+            },
         );
     }
 
@@ -466,12 +493,11 @@ pub fn run_cell(suite: &Suite, cell: &Cell, corrupt_replay: bool) -> Traced {
     let window_start = stepper.now();
     let base_retired: Vec<u64> = cores.iter().map(|c| c.retired()).collect();
     let base_misses = llc_misses(&llc, n);
-    if let Some(p) =
-        (epochs.policy as &mut dyn std::any::Any).downcast_mut::<coop_dvfs::DvfsPolicy>()
-    {
-        p.controller_mut()
-            .settle(window_start, &base_retired, &base_misses);
-    }
+    let dvfs_books_base: Option<Residency> = policy.dvfs().map(|p| {
+        let ctl = p.controller_mut();
+        ctl.settle(window_start, &base_retired, &base_misses);
+        ctl.books().clone()
+    });
     let base_accesses: Vec<u64> = (0..n)
         .map(|i| llc.stats().per_core[i].accesses.get())
         .collect();
@@ -491,6 +517,8 @@ pub fn run_cell(suite: &Suite, cell: &Cell, corrupt_replay: bool) -> Traced {
         .iter()
         .map(|&b| b + scale.instrs_per_app)
         .collect();
+    let mut epoch_curves: Vec<MissCurve> = Vec::new();
+    let mut occupancy = Occupancy::new(n);
 
     // Measurement window.
     let mut finish = {
@@ -504,17 +532,86 @@ pub fn run_cell(suite: &Suite, cell: &Cell, corrupt_replay: bool) -> Traced {
             &mut port,
             &target,
             Cycle(scale.max_cycles),
-            |now, cores, port| epochs.step(now, cores, port),
+            |now, cores, port| {
+                if uses_umon {
+                    epoch_curves.push(port.llc.umon_curve(CoreId(0)));
+                }
+                policy.drive(now, cores, port);
+                occupancy.add(port.llc, cores);
+                EpochControl::Continue
+            },
         )
     };
     let end = stepper.now();
     for f in &mut finish {
         f.get_or_insert(end);
     }
+
+    // Collect, exactly as `System::run`.
+    let kilo = scale.instrs_per_app as f64 / 1000.0;
+    let per_core_delta = |f: &dyn Fn(usize) -> u64, base: &[u64]| -> Vec<u64> {
+        (0..n).map(|i| f(i) - base[i]).collect()
+    };
+    let misses = per_core_delta(&|i| llc.stats().per_core[i].misses.get(), &base_misses);
+    let accesses = per_core_delta(&|i| llc.stats().per_core[i].accesses.get(), &base_accesses);
     log.push(Event::Energy(end));
     let end_counts = llc.energy_counts(end);
-    let kilo = scale.instrs_per_app as f64 / 1000.0;
-    let counters = Counters {
+    let counts = minus(end_counts, base_counts);
+    let params = EnergyParams::for_llc(llc_cfg.geom.size_bytes(), llc_cfg.geom.ways());
+    let flush_series = llc.stats().flush_series.clone();
+    let final_retired: Vec<u64> = cores.iter().map(|c| c.retired()).collect();
+    let final_misses = llc_misses(&llc, n);
+    let (core_energy, avg_freq_ghz, freq_residency) = match dvfs_books_base {
+        Some(base) => {
+            let ctl = policy
+                .dvfs()
+                .expect("the window-start books came from a DVFS policy")
+                .controller_mut();
+            ctl.settle(end, &final_retired, &final_misses);
+            let window = ctl.books().since(&base);
+            let fractions = window
+                .ref_cycles
+                .iter()
+                .map(|row| {
+                    let total: u64 = row.iter().sum();
+                    if total == 0 {
+                        let mut v = vec![0.0; row.len()];
+                        v[0] = 1.0;
+                        v
+                    } else {
+                        row.iter().map(|&r| r as f64 / total as f64).collect()
+                    }
+                })
+                .collect();
+            (
+                ctl.core_energy(&window),
+                ctl.avg_freq_ghz(&window),
+                fractions,
+            )
+        }
+        None => {
+            let p = core_power;
+            let window_ns = (end - window_start) as f64 / params.clock_ghz;
+            let dynamic_nj: f64 = (0..n)
+                .map(|i| {
+                    (final_retired[i] - base_retired[i]) as f64 * p.dynamic_nj_per_instr(p.vdd_nom)
+                })
+                .sum();
+            (
+                CoreEnergyReport {
+                    dynamic_nj,
+                    static_nj: p.static_nj(p.vdd_nom, window_ns) * n as f64,
+                },
+                vec![params.clock_ghz; n],
+                vec![vec![1.0]; n],
+            )
+        }
+    };
+    let [avg_ways_owned, avg_bw_share, avg_prefetch_degree] = occupancy.averages(&llc, &cores);
+    let result = RunResult {
+        policy: policy.name().to_string(),
+        label: policy.label().to_string(),
+        workload: group.workload.label.clone(),
         ipc: finish
             .iter()
             .map(|f| {
@@ -522,50 +619,49 @@ pub fn run_cell(suite: &Suite, cell: &Cell, corrupt_replay: bool) -> Traced {
                 scale.instrs_per_app as f64 / cycles as f64
             })
             .collect(),
-        mpki: llc_misses(&llc, n)
-            .iter()
-            .zip(&base_misses)
-            .map(|(&m, &b)| (m - b) as f64 / kilo)
-            .collect(),
-        accesses: (0..n)
-            .map(|i| llc.stats().per_core[i].accesses.get() - base_accesses[i])
-            .collect(),
-        cycles: end - window_start,
-        counts: minus(end_counts, base_counts),
+        mpki: misses.iter().map(|&m| m as f64 / kilo).collect(),
+        apki: accesses.iter().map(|&a| a as f64 / kilo).collect(),
+        accesses,
+        counts,
+        energy: params.evaluate(&counts),
         avg_ways: llc.avg_ways_consulted(),
+        cycles: end - window_start,
+        cp_transfer_durations: llc.takeover().durations().to_vec(),
+        ucp_transfer_durations: llc.ucp_transfer_durations().to_vec(),
         takeover_events: llc.takeover().event_counts(),
+        forced_transfers: llc.takeover().forced_count(),
         flush_lines: llc.stats().flush_lines.get() - base_flush,
+        flush_series: flush_series.values().to_vec(),
+        flush_bucket: flush_series.bucket_cycles(),
         repartitions: llc.stats().repartitions.get(),
-        prefetches: cores
-            .iter()
-            .zip(&base_prefetches)
-            .map(|(c, &b)| c.stats().prefetches.get() - b)
-            .collect(),
-        prefetch_useful: cores
-            .iter()
-            .zip(&base_useful)
-            .map(|(c, &b)| c.stats().prefetch_useful.get() - b)
-            .collect(),
-        dram_lines: (0..n)
-            .map(|i| llc.stats().per_core[i].dram_lines.get() - base_dram_lines[i])
-            .collect(),
+        epoch_curves,
+        core_energy,
+        avg_freq_ghz,
+        freq_residency,
+        avg_ways_owned,
+        prefetches: per_core_delta(&|i| cores[i].stats().prefetches.get(), &base_prefetches),
+        prefetch_useful: per_core_delta(&|i| cores[i].stats().prefetch_useful.get(), &base_useful),
+        dram_lines: per_core_delta(
+            &|i| llc.stats().per_core[i].dram_lines.get(),
+            &base_dram_lines,
+        ),
         bw_delay_cycles: bw_delay_of(&llc, n)
             .iter()
             .zip(&base_bw_delay)
             .map(|(&a, &b)| a - b)
             .collect(),
+        avg_bw_share,
+        avg_prefetch_degree,
     };
-    let (decide_s, apply_s) = (epochs.decide_s, epochs.apply_s);
-    let decisions = llc.stats().decisions.get();
     let core_stats = cores
         .iter()
         .map(|c| (*c.stats(), *c.l1d_stats(), *c.l1i_stats()));
     let mut layers = Layers {
-        retired: cores.iter().map(|c| c.retired()).sum(),
+        retired: final_retired.iter().sum(),
         sim_cycles: end.raw(),
-        decide_s,
-        apply_s,
-        decisions,
+        decide_s: policy.decide_s,
+        apply_s: policy.epoch_s - policy.decide_s,
+        decisions: llc.stats().decisions.get(),
         repartitions: llc.stats().repartitions.get(),
         ..Layers::default()
     };
@@ -638,7 +734,7 @@ pub fn run_cell(suite: &Suite, cell: &Cell, corrupt_replay: bool) -> Traced {
         layers.bw_delayed = r.stats().iter().map(|s| s.delayed.get()).sum();
         layers.bw_delay_cycles = r.stats().iter().map(|s| s.delay_cycles.get()).sum();
     }
-    Traced { counters, layers }
+    Traced { result, layers }
 }
 
 /// Replays `log`, returning the seconds spent on the port calls (epoch
