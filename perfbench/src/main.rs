@@ -22,6 +22,7 @@
 #![allow(clippy::disallowed_methods)]
 
 mod checks;
+mod hostclock;
 mod suite;
 mod traced;
 
@@ -34,13 +35,15 @@ use fleet::ResultsStore;
 use harness::{RunResult, SimScale};
 
 use crate::checks::FleetCost;
+use crate::hostclock::{Calibrator, CpuInstant};
 use crate::suite::Suite;
 use crate::traced::Layers;
 
 const USAGE: &str = "usage: perfbench --workload <paper-synth|trace-miss|multi-resource> \
 --seed <n> --seconds <s> --trace <0|1> [--inject digest|replay|cap]";
 
-/// Set-ups per invocation; `setup_s` is their median.
+/// Set-ups per invocation; `setup_s` is their median, in reference
+/// seconds (see `hostclock`).
 const SETUP_REPS: usize = 7;
 
 /// Timed passes per invocation, at least (the digest check compares
@@ -217,8 +220,15 @@ fn peak_rss_mb() -> f64 {
 /// One untraced pass: every cell in order, each behind `catch_unwind`
 /// so a panicking cell counts as failed instead of ending the run.
 struct Pass {
+    /// Wall seconds of the cells.
     seconds: f64,
+    /// Wall seconds of each cell.
     cell_s: Vec<f64>,
+    /// CPU seconds of each cell.
+    cpu_s: Vec<f64>,
+    /// Calibration kernel times of a timed pass: before each cell, and
+    /// after the last.
+    calibrations: Vec<f64>,
     results: Vec<Option<RunResult>>,
     /// The scale each cell ran at (its cycle cap is what `capped` checks).
     scales: Vec<SimScale>,
@@ -229,6 +239,8 @@ impl Pass {
         Pass {
             seconds: 0.0,
             cell_s: Vec::new(),
+            cpu_s: Vec::new(),
+            calibrations: Vec::new(),
             results: Vec::new(),
             scales: Vec::new(),
         }
@@ -246,12 +258,14 @@ impl Pass {
             suite.scale
         };
         let t = Instant::now();
+        let cpu = CpuInstant::now();
         let r = catch_unwind(AssertUnwindSafe(|| {
             suite
                 .build(&suite.cells[i], scale, StepperKind::EventDriven)
                 .run()
         }))
         .ok();
+        self.cpu_s.push(cpu.elapsed());
         let s = t.elapsed().as_secs_f64();
         self.seconds += s;
         self.cell_s.push(s);
@@ -259,13 +273,27 @@ impl Pass {
         self.results.push(r);
         self.results[i].as_ref()
     }
+
+    /// The pass's CPU time in reference seconds, each cell scaled by the
+    /// calibrations on either side of it.
+    fn reference_s(&self) -> f64 {
+        self.cpu_s
+            .iter()
+            .zip(self.calibrations.windows(2))
+            .map(|(&cpu, c)| hostclock::reference_s(cpu, c[0], c[1]))
+            .sum()
+    }
 }
 
-fn run_pass(suite: &Suite, cap_first: bool) -> Pass {
+/// A timed pass: the calibration kernel runs before every cell and after
+/// the last.
+fn run_pass(suite: &Suite, cap_first: bool, cal: &Calibrator) -> Pass {
     let mut pass = Pass::new();
     for i in 0..suite.cells.len() {
+        pass.calibrations.push(cal.measure());
         pass.run(suite, i, cap_first && i == 0);
     }
+    pass.calibrations.push(cal.measure());
     pass
 }
 
@@ -448,17 +476,23 @@ fn qos_violations(suite: &Suite, results: &[RunResult]) -> u64 {
 }
 
 /// `--trace 0`: timed passes for `seconds`, then the end-to-end metrics.
-fn timed_run(suite: &Suite, args: &Args, setup_s: f64, report: &mut Report) {
+fn timed_run(suite: &Suite, args: &Args, setup_s: f64, cal: &Calibrator, report: &mut Report) {
     let started = Instant::now();
     let mut passes: Vec<Pass> = Vec::new();
     let mut first: Option<Vec<Option<String>>> = None;
     let mut last_renders;
     loop {
         let index = passes.len();
-        let mut pass = run_pass(suite, args.inject == Some(Inject::Cap) && index == 0);
+        let mut pass = run_pass(suite, args.inject == Some(Inject::Cap) && index == 0, cal);
         let perturb = args.inject == Some(Inject::Digest) && index == 1;
         let renders = check_pass(suite, &mut pass, first.as_deref(), perturb, report);
-        eprintln!("# pass {index}: {:.3} s", pass.seconds);
+        eprintln!(
+            "# pass {index}: {:.3} s wall, {:.3} s CPU, calibration {:.3} ms, {:.3} reference s",
+            pass.seconds,
+            pass.cpu_s.iter().sum::<f64>(),
+            median(&pass.calibrations) * 1e3,
+            pass.reference_s()
+        );
         first.get_or_insert_with(|| renders.clone());
         last_renders = renders;
         passes.push(pass);
@@ -473,7 +507,7 @@ fn timed_run(suite: &Suite, args: &Args, setup_s: f64, report: &mut Report) {
     check_fleet(suite, last, report);
 
     let kinstr = suite.measured_instrs() as f64 / 1000.0;
-    let rates: Vec<f64> = passes.iter().map(|p| kinstr / p.seconds).collect();
+    let rates: Vec<f64> = passes.iter().map(|p| kinstr / p.reference_s()).collect();
     // The simulated metrics need every cell; a panicked cell already
     // failed the run.
     let results: Option<Vec<RunResult>> = passes[0].results.iter().cloned().collect();
@@ -500,6 +534,13 @@ fn instant_now_ns() -> f64 {
         std::hint::black_box(Instant::now());
     }
     t.elapsed().as_secs_f64() * 1e9 / f64::from(N)
+}
+
+/// CPU milliseconds of the calibration kernel, median of a few runs: the
+/// host's speed while the traced run took its wall-clock breakdown.
+fn calibration_ms() -> f64 {
+    let cal = Calibrator::new();
+    median(&(0..3).map(|_| cal.measure()).collect::<Vec<_>>()) * 1e3
 }
 
 /// One round of the traced run: every cell untraced and traced, the
@@ -696,6 +737,7 @@ fn traced_run(suite: &Suite, args: &Args, report: &mut Report) {
         metric("trace.untraced_s", med(&|r| r.untraced_s), "s"),
         metric("trace.overhead_ratio", overhead, "ratio"),
         metric("trace.instant_now_ns", instant_now_ns(), "ns"),
+        metric("trace.calibration_ms", calibration_ms(), "ms"),
     ];
 }
 
@@ -709,22 +751,38 @@ fn main() -> ExitCode {
         }
     };
     let scale = SimScale::quick();
+    // Each set-up is followed by a calibration and scaled by the ones on
+    // either side of it (the first, which counts from process start,
+    // where the main thread's CPU clock starts, by the one after it).
+    let mut cpu_s = Vec::new();
     let mut setups = Vec::new();
     let mut suite = None;
+    let mut cal = None;
+    let mut before = None;
     for rep in 0..SETUP_REPS {
-        // The first set-up counts from process start.
-        let t = if rep == 0 { started } else { Instant::now() };
+        let t = if rep == 0 {
+            CpuInstant::ZERO
+        } else {
+            CpuInstant::now()
+        };
         drop(suite.take());
         suite = suite::setup(&args.workload, args.seed, scale);
-        setups.push(t.elapsed().as_secs_f64());
+        let cpu = t.elapsed();
+        let after = cal.get_or_insert_with(Calibrator::new).measure();
+        cpu_s.push(cpu);
+        setups.push(hostclock::reference_s(cpu, before.unwrap_or(after), after));
+        before = Some(after);
     }
     let suite = suite.expect("the workload name was checked");
+    let cal = cal.expect("at least one set-up");
     let setup_s = median(&setups);
     eprintln!(
-        "# {} seed {}: {} cells, set-up {setups:.3?} s, available_parallelism {}",
+        "# {} seed {}: {} cells, set-up {cpu_s:.3?} CPU s, {setups:.3?} reference s, \
+         in {:.3} wall s, available_parallelism {}",
         suite.name,
         args.seed,
         suite.cells.len(),
+        started.elapsed().as_secs_f64(),
         std::thread::available_parallelism().map_or(0, |n| n.get())
     );
 
@@ -732,7 +790,7 @@ fn main() -> ExitCode {
     if args.trace {
         traced_run(&suite, &args, &mut report);
     } else {
-        timed_run(&suite, &args, setup_s, &mut report);
+        timed_run(&suite, &args, setup_s, &cal, &mut report);
     }
     for m in &report.metrics {
         println!("{:<32} {:>16.6} {}", m.name, m.value, m.unit);
