@@ -21,15 +21,27 @@
 //! * `core_step_reference_4core` — the identical system under the per-cycle
 //!   reference stepper, so the wake-list speedup stays *measured*.
 //!
+//! Two more isolate the per-instruction core structures, whose random
+//! simulated tags and outcomes defeat early-exit scans:
+//!
+//! * `l1d_access_4way_16kb` / `l1d_access_4way_1mb` — `memsim::Cache::access`
+//!   on a paper-sized 32 KB 4-way L1-D, with random lines over a 16 KB
+//!   footprint (all hits after warm-up) and over 1 MB (mostly misses:
+//!   victim, fill, dirty write-back);
+//! * `gshare_observe` — `Gshare::observe` (PHT update plus BTB probe and
+//!   insert) on random branch PCs over 4 KB of code, 90% taken: as many
+//!   branches as BTB entries, so once warm every probe hits, in a random
+//!   way, as in the skewed hot code of the synthetic workloads.
+//!
 //! Run with `cargo bench -p bench --bench hotpath`. The numbers are
 //! ns per 1000 operations (each `iter` performs 1000 accesses).
 
 use coop_core::{LlcConfig, PartitionedLlc, SchemeKind};
 use cpusim::{
-    Core, CoreConfig, EpochControl, Instr, InstrSource, LlcPort, StepperKind, SystemStepper,
+    Core, CoreConfig, EpochControl, Gshare, Instr, InstrSource, LlcPort, StepperKind, SystemStepper,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
-use memsim::{CacheGeometry, CacheSet, Dram, DramConfig, SetArena, WayMask};
+use memsim::{Cache, CacheGeometry, CacheSet, Dram, DramConfig, SetArena, WayMask};
 use simkit::types::{CoreId, Cycle, LineAddr};
 
 fn lcg(state: &mut u64) -> u64 {
@@ -112,6 +124,49 @@ fn bench_hotpath(c: &mut Criterion) {
             }
             hits
         })
+    });
+
+    // Kernels 6/7: the L1-D demand path (find/touch on hits, victim/fill
+    // on misses) over a footprint that fits and one that thrashes.
+    for (name, footprint) in [
+        ("l1d_access_4way_16kb", 16u64 << 10),
+        ("l1d_access_4way_1mb", 1 << 20),
+    ] {
+        c.bench_function(name, |b| {
+            let mut l1d = Cache::new(CacheGeometry::new(32 << 10, 4, 64), CoreId(0));
+            let mut state = 0x11D_5EED_u64;
+            let mut burst = |l1d: &mut Cache| {
+                let mut hits = 0u64;
+                for _ in 0..1000 {
+                    let r = lcg(&mut state);
+                    let line = LineAddr::from_byte_addr(CoreId(0), (r >> 2) % footprint, 64);
+                    hits += l1d.access(line, r & 3 == 0).hit as u64;
+                }
+                hits
+            };
+            for _ in 0..50 {
+                burst(&mut l1d);
+            }
+            b.iter(|| burst(&mut l1d))
+        });
+    }
+
+    // Kernel 8: branch prediction, direction table and BTB together.
+    c.bench_function("gshare_observe", |b| {
+        let mut bp = Gshare::paper_default();
+        let mut state = 0xB7B_5EED_u64;
+        let mut burst = |bp: &mut Gshare| {
+            let mut redirects = 0u64;
+            for _ in 0..1000 {
+                let r = lcg(&mut state);
+                redirects += bp.observe(((r >> 8) % 1024) * 4, !r.is_multiple_of(10)) as u64;
+            }
+            redirects
+        };
+        for _ in 0..50 {
+            burst(&mut bp);
+        }
+        b.iter(|| burst(&mut bp))
     });
 
     // Kernels 4/5: system stepping — four cores with a mixed instruction

@@ -54,10 +54,17 @@ impl Gshare {
     ///
     /// # Panics
     ///
-    /// Panics if `btb_entries` is not divisible by `btb_assoc`.
+    /// Panics if `btb_assoc` is zero, if `btb_entries` is not divisible by
+    /// `btb_assoc`, or if the resulting set count is not a power of two
+    /// (sets are selected by masking the PC, so any other count would leave
+    /// some sets unused).
     pub fn new(pht_bits: u32, btb_entries: usize, btb_assoc: usize) -> Gshare {
         assert!(btb_assoc > 0 && btb_entries.is_multiple_of(btb_assoc));
         let btb_sets = btb_entries / btb_assoc;
+        assert!(
+            btb_sets.is_power_of_two(),
+            "BTB set count {btb_sets} ({btb_entries} entries / {btb_assoc} ways) must be a power of two"
+        );
         let pht_entries = 1usize << pht_bits;
         Gshare {
             history: 0,
@@ -112,15 +119,21 @@ impl Gshare {
         mispredict
     }
 
-    /// Returns true on BTB hit; inserts the branch on a miss.
+    /// Returns true on BTB hit; inserts the branch on a miss (round-robin
+    /// within the set).
+    ///
+    /// The way compares are ORed together rather than scanned with an early
+    /// exit, which would mispredict on the random hit way. Empty slots hold
+    /// `u64::MAX`, which no `pc >> 2` tag can equal.
     fn btb_lookup_insert(&mut self, pc: u64) -> bool {
         let set = ((pc >> 2) as usize) & (self.btb_sets - 1);
         let base = set * self.btb_assoc;
         let tag = pc >> 2;
-        for w in 0..self.btb_assoc {
-            if self.btb_tags[base + w] == tag {
-                return true;
-            }
+        let hit = self.btb_tags[base..base + self.btb_assoc]
+            .iter()
+            .fold(false, |hit, &t| hit | (t == tag));
+        if hit {
+            return true;
         }
         let way = self.btb_next[set] as usize % self.btb_assoc;
         self.btb_tags[base + way] = tag;
@@ -206,5 +219,54 @@ mod tests {
             }
         }
         assert!(g.stats().mispredictions.get() > 16, "BTB thrash must show");
+    }
+
+    /// Branch PC whose BTB tag is `tag` (set `tag & (sets - 1)`).
+    fn pc_of(tag: u64) -> u64 {
+        tag << 2
+    }
+
+    #[test]
+    fn btb_hits_in_any_way_and_replaces_round_robin() {
+        // 2 sets x 4 ways. Even tags all map to set 0; each cold lookup
+        // fills the next way.
+        let mut g = Gshare::new(4, 8, 4);
+        for (way, tag) in [0u64, 2, 4, 6].into_iter().enumerate() {
+            assert!(!g.btb_lookup_insert(pc_of(tag)), "cold tag {tag}");
+            assert_eq!(g.btb_tags[way], tag);
+        }
+        assert_eq!(&g.btb_tags[4..], &[u64::MAX; 4], "set 1 untouched");
+        // A resident tag hits whichever way holds it.
+        for tag in [6u64, 0, 4, 2] {
+            assert!(g.btb_lookup_insert(pc_of(tag)), "resident tag {tag}");
+        }
+        // Hits leave the fill pointer alone: misses keep replacing ways
+        // 0, 1, 2, ... in order.
+        assert!(!g.btb_lookup_insert(pc_of(8)));
+        assert_eq!(&g.btb_tags[..4], &[8, 2, 4, 6]);
+        assert!(!g.btb_lookup_insert(pc_of(0)));
+        assert_eq!(&g.btb_tags[..4], &[8, 0, 4, 6]);
+        assert!(g.btb_lookup_insert(pc_of(8)));
+        assert!(!g.btb_lookup_insert(pc_of(2)));
+        assert_eq!(&g.btb_tags[..4], &[8, 0, 2, 6]);
+    }
+
+    #[test]
+    fn empty_btb_slots_never_match() {
+        // The largest possible tag (`u64::MAX >> 2`) still differs from the
+        // `u64::MAX` empty marker, so a fresh BTB misses on every PC.
+        for pc in [u64::MAX, u64::MAX - 3, u64::MAX << 2, 0] {
+            let mut g = Gshare::new(4, 8, 4);
+            assert!(!g.btb_lookup_insert(pc), "pc {pc:#x}");
+            assert!(g.btb_lookup_insert(pc), "pc {pc:#x} after insert");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn btb_set_count_must_be_a_power_of_two() {
+        // 768 entries / 4 ways = 192 sets: masking would never reach sets
+        // 128..192.
+        Gshare::new(12, 768, 4);
     }
 }

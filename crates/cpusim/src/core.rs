@@ -199,13 +199,26 @@ impl RobRing {
         }
     }
 
+    /// Retires the leading entries, up to `width`, whose completion cycle
+    /// is `<= now`, returning how many retired and how many of those were
+    /// memory operations.
+    ///
+    /// All `width` slots are examined and the in-order run is carried as a
+    /// 0/1 flag, so no exit depends on the (random) completion cycles;
+    /// `head` and `len` then move once.
     #[inline]
-    fn pop_front(&mut self) -> (Cycle, bool) {
-        debug_assert!(self.len > 0);
-        let v = self.slots[self.head];
-        self.head = (self.head + 1) & self.mask();
-        self.len -= 1;
-        (Cycle(v >> 1), v & 1 != 0)
+    fn pop_done(&mut self, now: Cycle, width: usize) -> (usize, usize) {
+        let mask = self.mask();
+        let (mut run, mut n, mut mem) = (1usize, 0usize, 0usize);
+        for i in 0..width {
+            let v = self.slots[(self.head + i) & mask];
+            run &= (i < self.len) as usize & ((v >> 1) <= now.raw()) as usize;
+            n += run;
+            mem += run & (v & 1) as usize;
+        }
+        self.head = (self.head + n) & mask;
+        self.len -= n;
+        (n, mem)
     }
 
     #[inline]
@@ -390,21 +403,10 @@ impl Core {
     }
 
     fn retire(&mut self, now: Cycle) -> u32 {
-        let mut n = 0;
-        while n < self.cfg.retire_width {
-            match self.rob.front_done() {
-                Some(done) if done <= now => {
-                    let (_, is_mem) = self.rob.pop_front();
-                    if is_mem {
-                        self.lsq_count -= 1;
-                    }
-                    self.stats.retired.inc();
-                    n += 1;
-                }
-                _ => break,
-            }
-        }
-        n
+        let (n, mem) = self.rob.pop_done(now, self.cfg.retire_width as usize);
+        self.lsq_count -= mem;
+        self.stats.retired.add(n as u64);
+        n as u32
     }
 
     fn dispatch(&mut self, now: Cycle, llc: &mut dyn LlcPort) -> u32 {
@@ -1036,5 +1038,89 @@ mod tests {
         let s = core.stats();
         assert!(s.prefetch_dropped.get() > 0, "drops expected: {s:?}");
         assert!(core.retired() > 0, "the core must keep making progress");
+    }
+
+    /// One-at-a-time in-order retirement over a raw ROB slab, the reference
+    /// for the bulk [`Core::retire`]: returns `(head, len, lsq_count,
+    /// retired)` after one retire cycle.
+    fn retire_reference(
+        slots: &[u64],
+        (mut head, mut len, mut lsq): (usize, usize, usize),
+        width: u32,
+        now: u64,
+    ) -> (usize, usize, usize, u64) {
+        let mut retired = 0;
+        while retired < u64::from(width) && len > 0 && slots[head] >> 1 <= now {
+            if slots[head] & 1 == 1 {
+                lsq -= 1;
+            }
+            head = (head + 1) % slots.len();
+            len -= 1;
+            retired += 1;
+        }
+        (head, len, lsq, retired)
+    }
+
+    #[test]
+    fn bulk_retire_matches_in_order_reference() {
+        let mut state = 0x0B0B_5EED_u64;
+        let mut rnd = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let now = 1_000u64;
+        for width in [1, 4, 8] {
+            let cfg = CoreConfig {
+                retire_width: width,
+                ..CoreConfig::default()
+            };
+            for occupancy in 0..=cfg.rob_entries {
+                // Completion cycles straddle `now` with a varying share
+                // already done, so runs of every length up to `width` occur.
+                for done_pct in [50, 90, 100] {
+                    let mut core = Core::new(CoreId(0), cfg, Box::new(|| Instr::alu(0)));
+                    let cap = core.rob.slots.len();
+                    // Stale slots beyond the occupancy look retirable and
+                    // must be ignored.
+                    for slot in core.rob.slots.iter_mut() {
+                        *slot = rnd() & 1;
+                    }
+                    // Heads near the end of the slab force wrap-around.
+                    core.rob.head = match rnd() % 3 {
+                        0 => cap - 1 - (rnd() as usize % 4),
+                        _ => rnd() as usize % cap,
+                    };
+                    let mut mem = 0;
+                    for _ in 0..occupancy {
+                        let done = if rnd() % 100 < done_pct {
+                            now - rnd() % 50
+                        } else {
+                            now + 1 + rnd() % 50
+                        };
+                        let is_mem = rnd() & 1 == 1;
+                        mem += is_mem as usize;
+                        core.rob.push_back(Cycle(done), is_mem);
+                    }
+                    core.lsq_count = mem;
+                    let before = (core.rob.head, core.rob.len, core.lsq_count);
+                    let want = retire_reference(&core.rob.slots, before, width, now);
+                    let n = core.retire(Cycle(now));
+                    let got = (
+                        core.rob.head,
+                        core.rob.len,
+                        core.lsq_count,
+                        core.stats.retired.get(),
+                    );
+                    assert_eq!(
+                        got, want,
+                        "width {width}, occupancy {occupancy}, head {}",
+                        before.0
+                    );
+                    assert_eq!(u64::from(n), want.3);
+                }
+            }
+        }
     }
 }

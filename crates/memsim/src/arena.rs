@@ -162,20 +162,20 @@ impl SetArena {
     }
 
     /// Looks for `tag` among the valid ways of `set` selected by `mask`,
-    /// in ascending way order. No recency side effects.
+    /// returning the lowest matching way. No recency side effects.
+    ///
+    /// Every way is compared into a match mask (way `w` at bit `w`, built
+    /// from the highest way down), so the scan has no exit that depends on
+    /// the (random) simulated tags.
     #[inline]
     pub fn find(&self, set: usize, tag: u64, mask: WayMask) -> Option<usize> {
         let base = set * self.ways;
-        let tags = &self.tags[base..base + self.ways];
-        let mut m = mask.0 & self.heads[set].valid;
-        while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            if tags[w] == tag {
-                return Some(w);
-            }
-            m &= m - 1;
-        }
-        None
+        let hits = self.tags[base..base + self.ways]
+            .iter()
+            .rev()
+            .fold(0u64, |hits, &t| (hits << 1) | (t == tag) as u64);
+        let m = hits & mask.0 & self.heads[set].valid;
+        (m != 0).then(|| m.trailing_zeros() as usize)
     }
 
     /// Recency position of `way` in an order word (0 = MRU), located with a
@@ -192,6 +192,9 @@ impl SetArena {
     }
 
     /// Marks `way` most recently used.
+    ///
+    /// The packed rotation needs no `p > 0` test: at `p = 0` it rebuilds
+    /// the order word unchanged.
     #[inline]
     pub fn touch(&mut self, set: usize, way: usize) {
         debug_assert!(way < self.ways);
@@ -199,11 +202,9 @@ impl SetArena {
             Recency::Packed => {
                 let word = self.heads[set].order;
                 let p = Self::packed_pos(word, way, self.low_bits);
-                if p > 0 {
-                    let below = (1u64 << (4 * p)) - 1;
-                    let rest = (word & below) | ((word >> 4) & !below);
-                    self.heads[set].order = (rest << 4) | way as u64;
-                }
+                let below = (1u64 << (4 * p)) - 1;
+                let rest = (word & below) | ((word >> 4) & !below);
+                self.heads[set].order = (rest << 4) | way as u64;
             }
             Recency::Stamped { stamps, clock } => {
                 clock[set] += 1;
@@ -415,6 +416,30 @@ mod tests {
         // A stale tag in an invalidated way is unreachable.
         a.invalidate(1, 2);
         assert_eq!(a.find(1, 0xAB, WayMask::all(4)), None);
+    }
+
+    #[test]
+    fn find_returns_lowest_matching_way() {
+        let mut a = SetArena::new(1, 8);
+        a.fill(0, 6, 0x77, CoreId(0), false);
+        a.fill(0, 3, 0x77, CoreId(0), false);
+        assert_eq!(a.find(0, 0x77, WayMask::all(8)), Some(3));
+        assert_eq!(a.find(0, 0x77, WayMask(0b1111_0000)), Some(6));
+        // Invalid ways hold tag 0, which must not match a lookup of 0.
+        assert_eq!(a.find(0, 0, WayMask::all(8)), None);
+    }
+
+    #[test]
+    fn touching_the_mru_way_keeps_the_order() {
+        for ways in [1, 4, 16] {
+            let mut a = SetArena::new(1, ways);
+            for w in 0..ways {
+                a.fill(0, w, w as u64, CoreId(0), false);
+            }
+            let before = a.heads[0].order;
+            a.touch(0, ways - 1);
+            assert_eq!(a.heads[0].order, before, "{ways} ways");
+        }
     }
 
     #[test]
