@@ -18,14 +18,13 @@
 use coop_core::policy::EpochObservations;
 use coop_core::Allocation;
 use coop_dvfs::{CorePerfModel, EnergyCosts, EpochObservation, PerfModelParams};
-use serde::{Deserialize, Serialize};
 use simkit::types::Cycle;
 
 use crate::minimize::{minimize, CbpAssignment};
 use crate::model::{accuracy_estimate, CbpModelParams, CoreCbpModel};
 
 /// Configuration of the coordinated controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CbpConfig {
     /// Energy magnitudes for the minimizer's objective (evaluated at the
     /// nominal voltage — CBP does not move V/f).

@@ -36,14 +36,12 @@
 //! The fair-share baseline is always feasible (its predicted time *is*
 //! the QoS limit), so the program always has a solution.
 
-use serde::{Deserialize, Serialize};
-
 use coop_dvfs::{EnergyCosts, PerfModelParams};
 
 use crate::model::{CbpModelParams, CoreCbpModel, MAX_DEGREE};
 
 /// One core's chosen assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CbpChoice {
     /// Ways granted.
     pub ways: usize,
@@ -58,7 +56,7 @@ pub struct CbpChoice {
 }
 
 /// The minimizer's joint decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CbpAssignment {
     /// Per-core assignments.
     pub cores: Vec<CbpChoice>,

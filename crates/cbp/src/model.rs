@@ -23,14 +23,13 @@
 //! headroom — exactly the coordination the CBP policy optimizes.
 
 use coop_dvfs::{CorePerfModel, PerfModelParams};
-use serde::{Deserialize, Serialize};
 
 /// Prefetch degrees the model considers (`0..=MAX_DEGREE`, matching the
 /// hardware prefetcher in `cpusim::prefetch`).
 pub const MAX_DEGREE: usize = cpusim::prefetch::MAX_DEGREE;
 
 /// Fixed parameters of the bandwidth + prefetch model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CbpModelParams {
     /// Bandwidth quantization: shares are allocated in units of
     /// `1/bw_units` of the DRAM peak.

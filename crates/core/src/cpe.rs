@@ -12,13 +12,11 @@
 //! best; leftover ways are power-gated. When requests exceed capacity the
 //! least-hurt application gives ways back.
 
-use serde::{Deserialize, Serialize};
-
 use crate::curve::MissCurve;
 use crate::lookahead::Allocation;
 
 /// Solo-run profile: per core, one miss curve per epoch index.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CpeProfile {
     /// `curves[core][epoch]`; the last entry repeats when a run outlives its
     /// profile.

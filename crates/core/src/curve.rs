@@ -4,13 +4,11 @@
 //! pass, the number of misses an application *would have had* under every
 //! possible way allocation. Allocation algorithms consume these curves.
 
-use serde::{Deserialize, Serialize};
-
 /// Projected misses for every way allocation `0..=ways`.
 ///
 /// `misses(w)` is non-increasing in `w` (more capacity never adds misses
 /// under LRU inclusion).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissCurve {
     misses: Vec<f64>,
     accesses: f64,

@@ -20,12 +20,10 @@
 //! at all, and the paper's "ways not allocated to any core" are the leftovers
 //! beyond these minima.
 
-use serde::{Deserialize, Serialize};
-
 use crate::curve::MissCurve;
 
 /// Result of a partitioning decision.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
     /// Ways granted to each core (index = core).
     pub ways: Vec<usize>,

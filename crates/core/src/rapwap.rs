@@ -15,11 +15,10 @@
 //! read+write).
 
 use memsim::WayMask;
-use serde::{Deserialize, Serialize};
 use simkit::types::CoreId;
 
 /// A core's mode of access to one way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessMode {
     /// RAP and WAP set.
     ReadWrite,
@@ -36,7 +35,7 @@ pub enum AccessMode {
 /// incrementally on every grant/revoke. The per-access probe path reads
 /// those masks in O(1) instead of re-deriving them from the registers on
 /// every demand access.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PermissionFile {
     /// `rap[way]` bit `c` = core `c` may read the way.
     rap: Vec<u8>,

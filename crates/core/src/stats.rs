@@ -1,12 +1,11 @@
 //! LLC statistics: per-core traffic, energy-relevant counts, flush
 //! bandwidth time series and migration measurements.
 
-use serde::{Deserialize, Serialize};
 use simkit::stats::TimeSeries;
 use simkit::Counter;
 
 /// Per-core LLC demand statistics.
-#[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy)]
 pub struct CoreLlcStats {
     /// Demand accesses (L1 misses arriving at the LLC).
     pub accesses: Counter,
@@ -36,7 +35,7 @@ impl CoreLlcStats {
 }
 
 /// Whole-LLC statistics for one run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LlcStats {
     /// Per-core demand stats.
     pub per_core: Vec<CoreLlcStats>,

@@ -15,11 +15,10 @@
 //! Figure-14 event statistics; the cache-line mutations (flush/invalidate)
 //! are performed by the LLC, which owns the data arrays.
 
-use serde::{Deserialize, Serialize};
 use simkit::types::{CoreId, Cycle};
 
 /// Which kind of access set a takeover bit (Figure 14's four categories).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TakeoverEventKind {
     /// The donor hit in the cache while giving a way away.
     DonorHit,
@@ -52,7 +51,7 @@ impl TakeoverEventKind {
 }
 
 /// One in-flight way transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transition {
     /// The way being transferred.
     pub way: usize,
@@ -77,7 +76,7 @@ pub struct MarkOutcome {
 }
 
 /// Takeover bit vectors and in-flight transitions for the whole LLC.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TakeoverState {
     sets: usize,
     cores: usize,

@@ -12,12 +12,11 @@
 //! the recipient after a decision. [`UcpTransferTracker`] implements that
 //! measurement.
 
-use serde::{Deserialize, Serialize};
 use simkit::types::{CoreId, Cycle};
 
 /// One in-flight UCP "way transfer" measurement (per recipient core whose
 /// quota grew at a decision).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UcpTransferTracker {
     /// The core whose allocation increased.
     pub recipient: CoreId,
@@ -66,7 +65,7 @@ impl UcpTransferTracker {
 }
 
 /// UCP scheme state: per-core quotas plus live transfer measurements.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UcpState {
     /// Current way quota per core.
     pub quotas: Vec<usize>,

@@ -10,8 +10,6 @@
 //! scaled back up when the curve is read. Counters are halved at each epoch
 //! so the monitor tracks phase changes (Qureshi & Patt, Section 3.1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::curve::MissCurve;
 
 /// A per-core utility monitor.
@@ -22,7 +20,7 @@ use crate::curve::MissCurve;
 /// rotation instead of nested-`Vec` chasing. The f64 hit/miss counters are
 /// untouched by the flattening, keeping every derived miss curve
 /// bit-identical to the original nested representation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UtilityMonitor {
     ways: usize,
     shift: u32,

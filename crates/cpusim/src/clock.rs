@@ -24,11 +24,10 @@
 //! voltage) a core may be set to; the voltage feeds the energy model
 //! (`energy::CoreEnergyParams`), the frequency feeds [`CoreClock`].
 
-use serde::{Deserialize, Serialize};
 use simkit::types::Cycle;
 
 /// One voltage/frequency operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Core clock in GHz.
     pub freq_ghz: f64,
@@ -38,7 +37,7 @@ pub struct OperatingPoint {
 
 /// The table of discrete operating points a core can switch between,
 /// ordered from the highest frequency (index 0, the nominal point) down.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VfTable {
     points: Vec<OperatingPoint>,
 }
@@ -138,7 +137,7 @@ impl VfTable {
 /// The only history the clock keeps besides the grid is the last *consumed*
 /// tick (`gate`), so stepping a core twice at the same cycle never yields
 /// two core cycles.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CoreClock {
     ratio: f64,
     /// Reference cycle the current grid is anchored at (the cycle of the

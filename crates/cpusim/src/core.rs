@@ -24,7 +24,6 @@
 
 use memsim::mshr::MshrOutcome;
 use memsim::{Cache, CacheGeometry, MshrFile};
-use serde::{Deserialize, Serialize};
 use simkit::types::{CoreId, Cycle, LineAddr};
 use simkit::Counter;
 
@@ -34,7 +33,7 @@ use crate::prefetch::Prefetcher;
 use crate::trace::{Instr, InstrKind, InstrSource};
 
 /// Core microarchitecture parameters (paper Table 2).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CoreConfig {
     /// Instructions dispatched per cycle.
     pub issue_width: u32,
@@ -97,7 +96,7 @@ pub trait LlcPort {
 }
 
 /// Per-core performance statistics.
-#[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy)]
 pub struct CoreStats {
     /// Instructions retired.
     pub retired: Counter,

@@ -39,10 +39,8 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// Dynamic instruction class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstrKind {
     /// Integer/FP computation — completes in one cycle, fully pipelined.
     Alu,
@@ -55,7 +53,7 @@ pub enum InstrKind {
 }
 
 /// One dynamic instruction produced by a trace source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Instr {
     /// Instruction class.
     pub kind: InstrKind,

@@ -16,14 +16,13 @@
 use coop_core::{Allocation, MissCurve};
 use cpusim::VfTable;
 use energy::CoreEnergyReport;
-use serde::{Deserialize, Serialize};
 use simkit::types::Cycle;
 
 use crate::minimize::{minimize, EnergyCosts, JointAssignment};
 use crate::perf::{CorePerfModel, EpochObservation, PerfModelParams};
 
 /// Configuration of the coordinated controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DvfsConfig {
     /// The V/f operating points (nominal first).
     pub table: VfTable,
@@ -64,7 +63,7 @@ pub struct DvfsDecision {
 
 /// Cumulative per-core, per-operating-point books (reference cycles and
 /// retired instructions). Snapshot/subtract to measure a window.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Residency {
     /// `ref_cycles[core][op]`.
     pub ref_cycles: Vec<Vec<u64>>,

@@ -29,12 +29,11 @@
 
 use cpusim::VfTable;
 use energy::CoreEnergyParams;
-use serde::{Deserialize, Serialize};
 
 use crate::perf::CorePerfModel;
 
 /// Cost parameters of the minimizer's objective.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyCosts {
     /// Core energy magnitudes + voltage scaling laws.
     pub core: CoreEnergyParams,
@@ -57,7 +56,7 @@ impl EnergyCosts {
 }
 
 /// One core's chosen assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreAssignment {
     /// Index into the V/f table.
     pub op: usize,
@@ -70,7 +69,7 @@ pub struct CoreAssignment {
 }
 
 /// The minimizer's joint decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JointAssignment {
     /// Per-core assignments.
     pub cores: Vec<CoreAssignment>,

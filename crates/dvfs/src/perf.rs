@@ -22,10 +22,9 @@
 //! factor) cancels to first order when comparing candidates.
 
 use coop_core::MissCurve;
-use serde::{Deserialize, Serialize};
 
 /// Fixed parameters of the performance model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfModelParams {
     /// Nominal (reference) core clock in GHz; the simulator's timeline.
     pub f_nom_ghz: f64,
@@ -51,7 +50,7 @@ impl PerfModelParams {
 
 /// What one core actually did over the last epoch, at the operating point
 /// and allocation it ran with.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochObservation {
     /// Instructions retired during the epoch.
     pub instrs: u64,
@@ -68,7 +67,7 @@ pub struct EpochObservation {
 /// The fitted per-core model: predicted misses per way count (precomputed —
 /// no curve lookups on the minimizer's hot path) plus calibrated compute
 /// cycles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorePerfModel {
     /// Predicted epoch misses at `w` ways, `w = 0..=total_ways`.
     misses_at: Vec<f64>,

@@ -1,11 +1,9 @@
 //! The coordinated DVFS + partitioning controller as a
 //! [`PartitionPolicy`].
 //!
-//! PR 2 attached the controller through a bespoke `System::with_dvfs` /
-//! `PartitionedLlc::on_epoch_with_allocation` side door. With the policy
-//! API it is just another registry entry (`"dvfs"`): each epoch it decides
-//! joint (frequency, ways) targets, returns the way targets as a normal
-//! takeover repartition and the frequencies as
+//! The controller is just another policy registry entry (`"dvfs"`): each
+//! epoch it decides joint (frequency, ways) targets, returns the way
+//! targets as a normal takeover repartition and the frequencies as
 //! [`ResourceHints::clock_ratios`], which the system loop forwards to
 //! `Core::set_clock_ratio`.
 

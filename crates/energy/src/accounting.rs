@@ -1,13 +1,11 @@
 //! Raw energy-relevant event counts and the evaluated report.
 
-use serde::{Deserialize, Serialize};
-
 /// Raw event counts accumulated by the LLC during a run.
 ///
 /// The simulator counts *events*; joules appear only when
 /// [`crate::EnergyParams::evaluate`] is applied, keeping the simulation
 /// independent of any particular technology point.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EnergyCounts {
     /// Σ over accesses of the number of tag ways consulted.
     pub tag_way_probes: u64,
@@ -45,7 +43,7 @@ impl EnergyCounts {
 }
 
 /// Evaluated energies in nanojoules.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct EnergyReport {
     /// Reported *dynamic* energy: tag probes + monitoring overheads. This is
     /// the quantity the paper's dynamic-energy figures plot.

@@ -18,10 +18,8 @@
 //! baseline at nominal V/f, so the reproduced shapes depend only on the
 //! scaling laws, not the absolute joules.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-core energy parameters at the nominal operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreEnergyParams {
     /// Dynamic energy per retired instruction at `vdd_nom`, in nJ. A 45 nm
     /// OoO core burning ~2 W of switching power at 2 GHz and IPC ~1 spends
@@ -70,7 +68,7 @@ impl Default for CoreEnergyParams {
 }
 
 /// Evaluated core energies in nanojoules (summed over all cores).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct CoreEnergyReport {
     /// Switching energy of retired instructions.
     pub dynamic_nj: f64,

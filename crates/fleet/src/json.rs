@@ -1,10 +1,10 @@
 //! Minimal JSON reading/writing for the fleet protocol and results store.
 //!
-//! The vendored `serde` derives are no-op stand-ins (see `vendor/README.md`),
-//! so the repo hand-rolls its machine-readable output. The fleet subsystem
-//! additionally needs to *read* JSON back — worker protocol messages, stored
-//! cell results, manifests — so this module carries a small self-contained
-//! parser and writer.
+//! The repo hand-rolls its machine-readable output on this module: the
+//! fleet subsystem writes JSON and reads it back — worker protocol
+//! messages, stored cell results, manifests — and `repro --json` writes
+//! its experiment files with it. It is a small self-contained parser and
+//! writer, so `fleet` keeps no dependencies.
 //!
 //! Numbers are kept as their raw source text ([`Value::Num`]) and converted
 //! on demand: floats written with Rust's shortest-roundtrip formatting
@@ -459,6 +459,13 @@ mod tests {
             Some(&Value::Bool(true))
         );
         assert_eq!(v.get("e").and_then(Value::as_str), Some("q\"\n"));
+    }
+
+    #[test]
+    fn strings_escape_quotes_backslashes_and_controls() {
+        let v = str("line\nbreak\tand \\ quote \"\u{1}");
+        assert_eq!(v.render(), r#""line\nbreak\tand \\ quote \"\u0001""#);
+        assert_eq!(parse(&v.render()).expect("reparses"), v);
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //! ## Fault injection
 //!
 //! The worker consults the [`crate::chaos`] engine (armed via
-//! `FLEET_CHAOS=<seed>:<profile>`, or the deprecated
-//! `FLEET_FAIL_SHARD`/`FLEET_FAIL_ONCE` shim) at each protocol state:
+//! `FLEET_CHAOS=<seed>:<profile>`) at each protocol state:
 //! on `assign` it may die, hang silently, or arm a death after one cell
 //! (keyed by shard + attempt, so a retry rolls a fresh decision); per
 //! cell it may sleep, panic inside the cell (exercising `catch_unwind`),
@@ -112,7 +111,7 @@ pub fn serve(runner: &dyn CellRunner) -> usize {
                 let mut fail_after: Option<usize> = None;
                 if let Some(ch) = &chaos {
                     // Targeted single-shard faults (the regression-test
-                    // form / deprecated FLEET_FAIL_SHARD shim).
+                    // form).
                     match ch.targeted_mode(&shard_id, shard_index) {
                         Some(TargetedMode::Panic) => {
                             eprintln!("# worker: fault injection: panic on shard {shard_index}");

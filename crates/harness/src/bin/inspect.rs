@@ -1,13 +1,13 @@
 //! `inspect` — watches one workload epoch by epoch: UMON miss curves
 //! (CURVES=1), UCP quotas / CP allocations, powered ways and per-core
 //! IPC. Env: WORKLOAD=spec (any workload-registry spec — a named group
-//! like G2-1, an ad-hoc mix like `soplex,namd`, or `trace:path.ctrace`;
-//! GROUP= is accepted as a legacy alias), SCHEME=policy-name (resolved
-//! through the harness policy registry), EPOCHS=n (default 34),
-//! QOS_SLACK=fraction (dvfs/cbp, default 0.10). Unknown workload or
-//! policy names print the registered lists and exit non-zero. Under
-//! SCHEME=dvfs each epoch line adds the chosen frequencies; under
-//! SCHEME=cbp it adds the chosen bandwidth shares and prefetch degrees.
+//! like G2-1, an ad-hoc mix like `soplex,namd`, or `trace:path.ctrace`),
+//! SCHEME=policy-name (resolved through the harness policy registry),
+//! EPOCHS=n (default 34), QOS_SLACK=fraction (dvfs/cbp, default 0.10).
+//! Unknown workload or policy names print the registered lists and exit
+//! non-zero. Under SCHEME=dvfs each epoch line adds the chosen
+//! frequencies; under SCHEME=cbp it adds the chosen bandwidth shares and
+//! prefetch degrees.
 use coop_core::{LlcConfig, PartitionedLlc, PolicySpec, SchemeKind};
 use coop_dvfs::DvfsPolicy;
 use cpusim::{Core, CoreConfig, EpochControl, LlcPort, StepperKind, SystemStepper};
@@ -37,7 +37,7 @@ fn main() {
         eprintln!(
             "usage: inspect\n\
              env: WORKLOAD=<spec> (default G2-1; a group like G2-1/G4-3/G8-2, a mix like\n\
-             \x20             'soplex,namd', or 'trace:path.ctrace'; GROUP= is a legacy alias)\n\
+             \x20             'soplex,namd', or 'trace:path.ctrace')\n\
              \x20    SCHEME=<policy> (default ucp; one of: {})\n\
              \x20    CURVES=1 to print per-epoch UMON miss curves\n\
              \x20    EPOCHS=n epochs to watch (default 34)\n\
@@ -46,9 +46,7 @@ fn main() {
         );
         return;
     }
-    let spec = std::env::var("WORKLOAD")
-        .or_else(|_| std::env::var("GROUP"))
-        .unwrap_or_else(|_| "G2-1".into());
+    let spec = std::env::var("WORKLOAD").unwrap_or_else(|_| "G2-1".into());
     let workloads_reg = workload_registry();
     let workload = match workloads_reg.resolve(&spec) {
         Ok(w) => w,

@@ -43,12 +43,12 @@
 
 use std::io::Write as _;
 
+use fleet::json::{self, Value};
 use harness::experiments::fig11_13::ThresholdMetric;
 use harness::experiments::fig5_10::Metric;
 use harness::experiments::{self, Experiment};
 use harness::fleet_run::{self, FleetOptions, SamplePlan};
 use harness::{policy_registry, workload_registry, SimScale};
-use simkit::table::json_string;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -551,16 +551,27 @@ fn write_csv(dir: &str, e: &Experiment) {
 fn write_json(dir: &str, e: &Experiment) {
     std::fs::create_dir_all(dir).expect("create json dir");
     let path = format!("{dir}/{}.json", file_stem(e));
-    let notes: Vec<String> = e.notes.iter().map(|n| json_string(n)).collect();
-    let doc = format!(
-        "{{\"id\":{},\"title\":{},\"table\":{},\"notes\":[{}]}}\n",
-        json_string(&e.id),
-        json_string(&e.title),
-        e.table.to_json(),
-        notes.join(",")
-    );
-    std::fs::write(&path, doc).expect("write json");
+    std::fs::write(&path, experiment_json(e).render() + "\n").expect("write json");
     eprintln!("# wrote {path}");
+}
+
+/// An experiment as `{"id", "title", "table": {"headers", "rows"},
+/// "notes"}`, every cell a string.
+fn experiment_json(e: &Experiment) -> Value {
+    let strs = |cells: &[String]| Value::Arr(cells.iter().map(json::str).collect());
+    let table = json::obj(vec![
+        ("headers", strs(e.table.headers())),
+        (
+            "rows",
+            Value::Arr(e.table.rows().iter().map(|r| strs(r)).collect()),
+        ),
+    ]);
+    json::obj(vec![
+        ("id", json::str(&e.id)),
+        ("title", json::str(&e.title)),
+        ("table", table),
+        ("notes", strs(&e.notes)),
+    ])
 }
 
 fn usage() {
@@ -585,4 +596,28 @@ fn usage() {
          \x20            distributional report with QoS-violation tails (first --slacks value)",
         policy_registry().names().join(", ")
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simkit::table::Table;
+
+    #[test]
+    fn experiment_json_holds_table_cells_as_strings() {
+        let mut table = Table::new(vec!["a".into(), "h\"1".into()]);
+        table.row(vec!["x".into(), "1".into()]);
+        table.row_f64("y", &[2.5], 2);
+        let e = Experiment {
+            id: "Table 9".into(),
+            title: "t".into(),
+            table,
+            notes: vec!["line\nbreak".into()],
+            perf: None,
+        };
+        assert_eq!(
+            experiment_json(&e).render(),
+            r#"{"id":"Table 9","notes":["line\nbreak"],"table":{"headers":["a","h\"1"],"rows":[["x","1"],["y","2.50"]]},"title":"t"}"#
+        );
+    }
 }

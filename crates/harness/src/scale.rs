@@ -6,10 +6,8 @@
 //! length *together* (keeping the decisions-per-run count comparable) while
 //! leaving the cache geometry untouched.
 
-use serde::{Deserialize, Serialize};
-
 /// A simulation scale preset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimScale {
     /// Preset name.
     pub name: &'static str,

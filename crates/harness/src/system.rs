@@ -13,14 +13,13 @@
 //!
 //! Both axes resolve through string-keyed registries: the policy name
 //! through the harness [`crate::policies`] registry (the five paper
-//! schemes plus `"dvfs"`), and the workload spec through
+//! schemes plus `"dvfs"` and `"cbp"`), and the workload spec through
 //! [`crate::workload_registry`] (named groups, ad-hoc mixes, trace
 //! files). The LLC is built as a pure enforcement mechanism matching the
 //! policy's descriptor, and the system loop feeds the policy
 //! [`coop_core::EpochObservations`] each epoch and applies its decisions —
 //! way targets through the LLC, clock hints through the cores. The
-//! pre-redesign [`SystemConfig`] constructors and the typed
-//! [`SystemBuilder::cores`] entry point remain as thin shims for the seed
+//! pre-redesign [`SystemConfig`] constructors remain for the seed
 //! integration suites.
 
 use coop_core::cpe::CpeProfile;
@@ -28,11 +27,10 @@ use coop_core::policy::{DynamicCpePolicy, PartitionPolicy};
 use coop_core::{
     policy_for_scheme, AllocationDecision, LlcConfig, PartitionedLlc, PolicySpec, SchemeKind,
 };
-use coop_dvfs::{DvfsConfig, DvfsPolicy, Residency};
+use coop_dvfs::{DvfsPolicy, Residency};
 use cpusim::{Core, CoreConfig, EpochControl, LlcPort, StepperKind, SystemStepper};
 use energy::{CoreEnergyParams, CoreEnergyReport, EnergyCounts, EnergyParams, EnergyReport};
 use memsim::{Dram, DramConfig};
-use serde::{Deserialize, Serialize};
 use simkit::types::{CoreId, Cycle, LineAddr};
 use workloads::{Benchmark, ResolvedWorkload};
 
@@ -54,14 +52,6 @@ pub struct SystemConfig {
     pub scale: SimScale,
     /// Root seed (varies reference streams deterministically).
     pub seed: u64,
-    /// Core energy magnitudes for the non-DVFS accounting path (all cores
-    /// at nominal V/f). [`SystemConfig::with_dvfs`] overwrites this from
-    /// the controller's costs so baseline and coordinated runs always
-    /// evaluate core energy from the same source.
-    pub core_power: CoreEnergyParams,
-    /// Coordinated DVFS + partitioning (legacy knob; the builder's
-    /// `.policy("dvfs")` replaces it).
-    pub dvfs: Option<DvfsConfig>,
 }
 
 impl SystemConfig {
@@ -73,8 +63,6 @@ impl SystemConfig {
             dram: DramConfig::default(),
             scale,
             seed: 0x5EED,
-            core_power: CoreEnergyParams::for_45nm(),
-            dvfs: None,
         }
     }
 
@@ -97,21 +85,6 @@ impl SystemConfig {
         let mut llc = llc;
         llc.scheme = SchemeKind::Ucp;
         SystemConfig::base(vec![benchmark], llc, scale)
-    }
-
-    /// Enables coordinated DVFS + partitioning (legacy shim for the
-    /// builder's `.policy("dvfs")`; requires the Cooperative scheme). The
-    /// controller's core-energy magnitudes become this config's
-    /// `core_power`, keeping baseline and DVFS accounting comparable.
-    pub fn with_dvfs(mut self, dvfs: DvfsConfig) -> Self {
-        assert_eq!(
-            self.llc.scheme,
-            SchemeKind::Cooperative,
-            "the DVFS controller drives the cooperative takeover machinery"
-        );
-        self.core_power = dvfs.costs.core;
-        self.dvfs = Some(dvfs);
-        self
     }
 }
 
@@ -169,9 +142,6 @@ pub struct SystemBuilder {
     threshold: Option<f64>,
     qos_slack: f64,
     seed: u64,
-    core: CoreConfig,
-    dram: DramConfig,
-    core_power: Option<CoreEnergyParams>,
     stepper: StepperKind,
     bandwidth_shares: Option<Vec<f64>>,
     prefetch_degree: Option<u8>,
@@ -187,9 +157,6 @@ impl Default for SystemBuilder {
             threshold: None,
             qos_slack: 0.10,
             seed: 0x5EED,
-            core: CoreConfig::default(),
-            dram: DramConfig::default(),
-            core_power: None,
             stepper: StepperKind::default(),
             bandwidth_shares: None,
             prefetch_degree: None,
@@ -199,10 +166,10 @@ impl Default for SystemBuilder {
 
 impl SystemBuilder {
     /// The workload by spec string (required unless
-    /// [`SystemBuilder::cores`] or [`SystemBuilder::workload_resolved`]
-    /// is used): a named group (`"G2-1"`), an ad-hoc mix
-    /// (`"soplex,namd"`), or a trace file (`"trace:path.ctrace"`) —
-    /// resolved through [`crate::workload_registry`] at build time.
+    /// [`SystemBuilder::workload_resolved`] is used): a named group
+    /// (`"G2-1"`), an ad-hoc mix (`"soplex,namd"`), or a trace file
+    /// (`"trace:path.ctrace"`) — resolved through
+    /// [`crate::workload_registry`] at build time.
     pub fn workload(mut self, spec: impl Into<String>) -> Self {
         self.workload = Some(WorkloadInput::Spec(spec.into()));
         self
@@ -212,15 +179,6 @@ impl SystemBuilder {
     /// it across runs).
     pub fn workload_resolved(mut self, workload: ResolvedWorkload) -> Self {
         self.workload = Some(WorkloadInput::Resolved(workload));
-        self
-    }
-
-    /// One benchmark per core (typed legacy shim over
-    /// [`SystemBuilder::workload`]).
-    pub fn cores(mut self, benchmarks: Vec<Benchmark>) -> Self {
-        self.workload = Some(WorkloadInput::Resolved(ResolvedWorkload::from_benchmarks(
-            &benchmarks,
-        )));
         self
     }
 
@@ -262,24 +220,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Core microarchitecture override.
-    pub fn core_config(mut self, core: CoreConfig) -> Self {
-        self.core = core;
-        self
-    }
-
-    /// Memory-system override.
-    pub fn dram(mut self, dram: DramConfig) -> Self {
-        self.dram = dram;
-        self
-    }
-
-    /// Core-energy magnitude override for the accounting path.
-    pub fn core_power(mut self, params: CoreEnergyParams) -> Self {
-        self.core_power = Some(params);
-        self
-    }
-
     /// Which stepping algorithm drives the system loop (default
     /// [`StepperKind::EventDriven`]; the per-cycle reference stepper is
     /// kept for equivalence checking).
@@ -311,7 +251,7 @@ impl SystemBuilder {
     pub fn try_build(self) -> Result<System, BuildError> {
         let workload = match self
             .workload
-            .expect("SystemBuilder::workload (or ::cores) was not called")
+            .expect("SystemBuilder::workload (or ::workload_resolved) was not called")
         {
             WorkloadInput::Spec(spec) => crate::workload_registry().resolve(&spec)?,
             WorkloadInput::Resolved(w) => w,
@@ -340,25 +280,9 @@ impl SystemBuilder {
         }
         let spec = PolicySpec::for_llc(&llc, n).with_qos_slack(self.qos_slack);
         let policy = registry.build(canonical, &spec).expect("name resolved");
-        // Multi-resource runs (DVFS, CBP) evaluate core energy from the
-        // controller's magnitudes; everything else uses the 45 nm defaults
-        // unless overridden.
-        let core_power = self.core_power.unwrap_or_else(|| {
-            if canonical == "dvfs" || canonical == "cbp" {
-                DvfsConfig::paper_default(self.qos_slack).costs.core
-            } else {
-                CoreEnergyParams::for_45nm()
-            }
-        });
         let cfg = SystemConfig {
-            benchmarks: Vec::new(),
-            llc,
-            core: self.core,
-            dram: self.dram,
-            scale: self.scale,
             seed: self.seed,
-            core_power,
-            dvfs: None,
+            ..SystemConfig::base(Vec::new(), llc, self.scale)
         };
         let mut sys = System::assemble(cfg, policy, workload, self.stepper);
         if let Some(shares) = &self.bandwidth_shares {
@@ -385,7 +309,7 @@ impl SystemBuilder {
 
 /// Everything measured in one run (within the measurement window, i.e.
 /// after warm-up).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// Canonical name of the policy that produced the run (registry key).
     pub policy: String,
@@ -518,27 +442,11 @@ impl System {
         SystemBuilder::default()
     }
 
-    /// Builds the system from a legacy [`SystemConfig`]: the scheme (or
-    /// `dvfs` option) maps onto the matching [`PartitionPolicy`] object.
-    /// New code uses [`System::builder`].
+    /// Builds the system from a legacy [`SystemConfig`]: the scheme maps
+    /// onto the matching [`PartitionPolicy`] object. New code uses
+    /// [`System::builder`].
     pub fn new(cfg: SystemConfig) -> System {
-        let n = cfg.benchmarks.len();
-        let policy: Box<dyn PartitionPolicy> = match &cfg.dvfs {
-            Some(d) => {
-                assert_eq!(
-                    cfg.llc.scheme,
-                    SchemeKind::Cooperative,
-                    "DVFS coordination requires the Cooperative scheme"
-                );
-                Box::new(DvfsPolicy::new(
-                    d.clone(),
-                    n,
-                    cfg.llc.geom.ways(),
-                    cfg.llc.threshold,
-                ))
-            }
-            None => policy_for_scheme(cfg.llc.scheme, &cfg.llc),
-        };
+        let policy = policy_for_scheme(cfg.llc.scheme, &cfg.llc);
         let workload = ResolvedWorkload::from_benchmarks(&cfg.benchmarks);
         System::assemble(cfg, policy, workload, StepperKind::default())
     }
@@ -757,8 +665,9 @@ impl System {
         let (core_energy, avg_freq_ghz, freq_residency) = match dvfs_window {
             Some(report) => report,
             None => {
-                // Every core at nominal V/f for the whole window.
-                let p = cfg.core_power;
+                // Every core at nominal V/f for the whole window, at the
+                // 45 nm magnitudes the DVFS and CBP controllers also use.
+                let p = CoreEnergyParams::for_45nm();
                 let window_ns = (end - window_start) as f64 / params.clock_ghz;
                 let dynamic_nj: f64 = (0..n)
                     .map(|i| {
@@ -1016,20 +925,17 @@ mod tests {
 
     #[test]
     fn dvfs_run_reports_residency_and_cuts_core_dynamic_energy() {
-        let mk = |dvfs: bool| {
-            let cfg = SystemConfig::two_core(
-                vec![Benchmark::Lbm, Benchmark::Namd],
-                SchemeKind::Cooperative,
-                quick_scale(),
-            );
-            if dvfs {
-                cfg.with_dvfs(coop_dvfs::DvfsConfig::paper_default(0.20))
-            } else {
-                cfg
-            }
+        let mk = |policy: &str| {
+            System::builder()
+                .workload("lbm,namd")
+                .policy(policy)
+                .qos_slack(0.20)
+                .scale(quick_scale())
+                .build()
+                .run()
         };
-        let base = System::new(mk(false)).run();
-        let r = System::new(mk(true)).run();
+        let base = mk("cooperative");
+        let r = mk("dvfs");
         // Residency fractions are a distribution per core.
         assert_eq!(r.freq_residency.len(), 2);
         for row in &r.freq_residency {
@@ -1067,15 +973,16 @@ mod tests {
     #[test]
     fn dvfs_replay_is_deterministic() {
         let mk = || {
-            SystemConfig::two_core(
-                vec![Benchmark::Soplex, Benchmark::Milc],
-                SchemeKind::Cooperative,
-                quick_scale(),
-            )
-            .with_dvfs(coop_dvfs::DvfsConfig::paper_default(0.10))
+            System::builder()
+                .workload("soplex,milc")
+                .policy("dvfs")
+                .qos_slack(0.10)
+                .scale(quick_scale())
+                .build()
+                .run()
         };
-        let a = System::new(mk()).run();
-        let b = System::new(mk()).run();
+        let a = mk();
+        let b = mk();
         assert_eq!(a.ipc, b.ipc);
         assert_eq!(a.freq_residency, b.freq_residency);
         assert_eq!(a.counts, b.counts);

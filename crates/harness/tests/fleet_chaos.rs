@@ -64,8 +64,6 @@ fn repro(args: &[&str], envs: &[(&str, &str)]) -> std::process::Output {
     // the ambient environment; timeouts are compressed so injected hangs
     // cost seconds, not the production stall budget.
     cmd.env_remove("FLEET_CHAOS")
-        .env_remove("FLEET_FAIL_SHARD")
-        .env_remove("FLEET_FAIL_ONCE")
         .env_remove("FLEET_RUN_DEADLINE_MS");
     cmd.env("FLEET_BACKOFF_MS", "10")
         .env("FLEET_HEARTBEAT_MS", "25")

@@ -1,6 +1,5 @@
 //! Cache geometry and address mapping.
 
-use serde::{Deserialize, Serialize};
 use simkit::types::LineAddr;
 
 /// Geometry of a set-associative cache.
@@ -14,7 +13,7 @@ use simkit::types::LineAddr;
 /// let g = CacheGeometry::new(2 << 20, 8, 64);
 /// assert_eq!(g.sets(), 4096);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
     size_bytes: u64,
     ways: usize,

@@ -1,7 +1,6 @@
 //! A plain set-associative write-back cache, used for the private L1
 //! instruction and data caches.
 
-use serde::{Deserialize, Serialize};
 use simkit::types::{CoreId, LineAddr};
 use simkit::Counter;
 
@@ -10,7 +9,7 @@ use crate::arena::SetArena;
 use crate::set::WayMask;
 
 /// Hit/miss and traffic statistics for one cache.
-#[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy)]
 pub struct CacheStats {
     /// Demand read accesses (loads / instruction fetches).
     pub read_accesses: Counter,

@@ -55,6 +55,16 @@ impl Table {
         self.rows.is_empty()
     }
 
+    /// The column headers.
+    pub fn headers(&self) -> &[String] {
+        &self.headers
+    }
+
+    /// The data rows, as appended.
+    pub fn rows(&self) -> &[Vec<String>] {
+        &self.rows
+    }
+
     /// Renders the table with aligned columns and a separator line.
     pub fn render(&self) -> String {
         let ncols = self
@@ -97,25 +107,6 @@ impl Table {
         out
     }
 
-    /// Renders the table as a JSON object `{"headers": [...], "rows":
-    /// [[...], ...]}` with all cells as strings.
-    ///
-    /// Hand-rolled like [`Table::to_csv`]: the vendored serde derives are
-    /// no-op stand-ins (see `vendor/README.md`), so machine-readable
-    /// output is written directly.
-    pub fn to_json(&self) -> String {
-        let array = |cells: &[String]| -> String {
-            let quoted: Vec<String> = cells.iter().map(|c| json_string(c)).collect();
-            format!("[{}]", quoted.join(","))
-        };
-        let rows: Vec<String> = self.rows.iter().map(|r| array(r)).collect();
-        format!(
-            "{{\"headers\":{},\"rows\":[{}]}}",
-            array(&self.headers),
-            rows.join(",")
-        )
-    }
-
     /// Renders the table as CSV (RFC-4180-style quoting for cells containing
     /// commas or quotes).
     pub fn to_csv(&self) -> String {
@@ -136,27 +127,6 @@ impl Table {
         }
         out
     }
-}
-
-/// Escapes and quotes `s` as a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -188,25 +158,6 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("\"a,b\""));
         assert!(csv.contains("\"q\"\"q\""));
-    }
-
-    #[test]
-    fn json_renders_headers_and_rows() {
-        let json = sample().to_json();
-        assert_eq!(
-            json,
-            r#"{"headers":["a","b"],"rows":[["x","1"],["y","2.50"]]}"#
-        );
-    }
-
-    #[test]
-    fn json_escapes_special_cells() {
-        let mut t = Table::new(vec!["h\"1".into()]);
-        t.row(vec!["line\nbreak\tand \\ quote \"".into()]);
-        let json = t.to_json();
-        assert!(json.contains(r#""h\"1""#), "{json}");
-        assert!(json.contains(r#""line\nbreak\tand \\ quote \"""#), "{json}");
-        assert_eq!(json_string("\u{1}"), r#""\u0001""#);
     }
 
     #[test]

@@ -108,7 +108,7 @@ name = "demo" # the name
 
 [dependencies]
 simkit = { workspace = true }
-serde = { path = "vendor/serde", features = ["derive"] }
+rand = { path = "vendor/rand", features = ["small_rng"] }
 
 [dev-dependencies]
 proptest = { workspace = true }
@@ -117,7 +117,7 @@ proptest = { workspace = true }
         assert_eq!(m.package.as_deref(), Some("demo"));
         assert_eq!(m.members, vec!["crates/a", "vendor/b"]);
         let dep_names: Vec<&str> = m.deps.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(dep_names, vec!["simkit", "serde"]);
+        assert_eq!(dep_names, vec!["simkit", "rand"]);
         assert_eq!(m.dev_deps.len(), 1);
     }
 

@@ -160,7 +160,7 @@ pub const CRATES: &[CrateRule] = &[
 
 /// Vendored external crates, allowed as a dependency of any crate (they
 /// are offline stand-ins; see `vendor/README.md`).
-pub const EXTERNAL_DEPS: &[&str] = &["criterion", "proptest", "rand", "serde"];
+pub const EXTERNAL_DEPS: &[&str] = &["criterion", "proptest", "rand"];
 
 /// Library identifiers of every first-party crate — the set the `use`/path
 /// layering check matches against.

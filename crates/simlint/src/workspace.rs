@@ -199,4 +199,15 @@ mod tests {
         check_manifest_deps("crates/memsim/Cargo.toml", &m, rule, &mut report);
         assert!(report.diagnostics.is_empty());
     }
+
+    #[test]
+    fn dependency_outside_vendor_is_flagged() {
+        let m = manifest::parse("[package]\nname = \"memsim\"\n[dependencies]\nserde = {}\n");
+        let rule = crate_for_package("memsim").expect("memsim in table");
+        let mut report = Report::default();
+        check_manifest_deps("crates/memsim/Cargo.toml", &m, rule, &mut report);
+        assert_eq!(report.diagnostics.len(), 1);
+        assert_eq!(report.diagnostics[0].rule, "layering");
+        assert_eq!(report.diagnostics[0].line, 4);
+    }
 }

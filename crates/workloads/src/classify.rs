@@ -1,9 +1,7 @@
 //! MPKI classification (paper Table 3).
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's three MPKI classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MpkiClass {
     /// MPKI > 5.
     High,

@@ -1,9 +1,7 @@
 //! Generative benchmark model parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Memory reference pattern of one model component.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Pattern {
     /// Sequential walk with a byte stride over a huge region: no reuse at
     /// LLC scale — capacity buys nothing (e.g. `lbm`, `libquantum`, `milc`).
@@ -33,7 +31,7 @@ pub enum Pattern {
 }
 
 /// One component of a benchmark's reference stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Component {
     /// Footprint in bytes.
     pub region_bytes: u64,
@@ -47,7 +45,7 @@ pub struct Component {
 /// multiplied by `weight_scale` (index-aligned with the component list).
 ///
 /// Phases cycle; a model without phases is stationary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
     /// Phase length in dynamic instructions.
     pub instrs: u64,
@@ -56,7 +54,7 @@ pub struct Phase {
 }
 
 /// A complete benchmark model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkModel {
     /// Display name (matches the paper's tables).
     pub name: &'static str,

@@ -67,7 +67,10 @@ for fig in figure5 figure6 figure7 figure8 figure9 figure10; do
 done
 
 echo "chaos_smoke: negative step — hand-truncated cell must be quarantined"
-VICTIM=$(ls "${FLEET}/cells/"*.json | head -n1)
+# A glob, not `ls | head`: under pipefail, head closing the pipe early
+# kills ls with SIGPIPE and the script with it.
+CELLS=("${FLEET}/cells/"*.json)
+VICTIM=${CELLS[0]}
 ORIG_BYTES=$(wc -c < "${VICTIM}")
 head -c $((ORIG_BYTES / 2)) "${VICTIM}" > "${VICTIM}.tmp" && mv "${VICTIM}.tmp" "${VICTIM}"
 "${REPRO}" fig5_10 --scale quick --workers 2 --resume --json "${FLEET}" \
